@@ -102,7 +102,7 @@ class OptimizationResult:
         lines.append(
             f"chosen plan: phase {details.chosen_phase} "
             f"(phase 1: {details.phase1_cost:,.0f}, "
-            f"phase 2: {details.phase2_cost:,.0f})"
+            f"{details.phase2_summary()})"
         )
         return "\n".join(lines)
 

@@ -131,7 +131,8 @@ def cmd_explain(args) -> int:
         if result.exploited_cse:
             print(f"\nshared groups: {len(details.report.shared_groups)}  "
                   f"phase-2 rounds: {details.engine.stats.rounds}  "
-                  f"chosen phase: {details.chosen_phase}")
+                  f"chosen phase: {details.chosen_phase}  "
+                  f"{details.phase2_summary()}")
         if getattr(args, "trace", False) and details.engine.trace is not None:
             from .optimizer.trace import render_trace
 

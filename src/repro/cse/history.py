@@ -23,6 +23,7 @@ from ..plan.properties import (
     PhysicalProps,
     ReqProps,
     SortOrder,
+    enforced_props_for,
 )
 
 
@@ -32,12 +33,18 @@ class HistoryEntry:
 
     partitioning: Partitioning
     sort_order: SortOrder = field(default_factory=SortOrder)
+    _req: ReqProps = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Phase 2 asks for the requirement on every enforced child of
+        # every candidate; build it once per entry.
+        object.__setattr__(
+            self, "_req", enforced_props_for(self.partitioning, self.sort_order)
+        )
 
     def as_req(self) -> ReqProps:
         """The exact requirement pinning this layout down."""
-        from ..plan.properties import enforced_props_for
-
-        return enforced_props_for(self.partitioning, self.sort_order)
+        return self._req
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.sort_order.is_sorted:

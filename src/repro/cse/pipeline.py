@@ -75,6 +75,18 @@ class CseOptimizationResult:
         if self.plan_memo is None:
             self.plan_memo = self.memo
 
+    def phase2_summary(self) -> str:
+        """``phase 2: <cost>``, or the LCAs where phase 2 was pruned."""
+        if self.phase2_plan is None:
+            pruned = dict.fromkeys(
+                gid for gid, _ in self.engine.stats.prune_log
+            )
+            if pruned:
+                lcas = ", ".join(f"#{gid}" for gid in pruned)
+                return (f"phase 2: pruned at LCA {lcas} "
+                        f"(bound ≥ phase-1 cost)")
+        return f"phase 2: {self.phase2_cost:,.0f}"
+
     def verify_phases(self) -> None:
         """Statically verify every plan the pipeline produced.
 
@@ -148,14 +160,18 @@ def optimize_with_cse(
         engine.refresh_cse_annotations(propagation.independent_sets)
         span.set(lcas=len(propagation.lca))
 
-    # Step 4 — phase 2.
+    # Step 4 — phase 2.  Phase 2 is taken only if strictly cheaper than
+    # the phase-1 plan, so an LCA whose every round provably costs at
+    # least that much is pruned (DESIGN.md, decision 9).
     with tracer.span("optimize.phase2") as span:
+        engine.incumbent = phase1_cost
         phase2_plan = engine.optimize(PHASE_CSE)
         phase2_cost = (
             engine.plan_cost(phase2_plan)
             if phase2_plan is not None else float("inf")
         )
         span.set(cost=phase2_cost, rounds=engine.stats.rounds,
+                 lcas_pruned=engine.stats.lcas_pruned,
                  budget_exhausted=engine.stats.budget_exhausted)
 
     if phase2_plan is not None and phase2_cost < phase1_cost:

@@ -28,7 +28,7 @@ compares candidate plans by DAG cost (DESIGN.md, decision 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..plan.physical import (
     PhysBroadcastJoin,
@@ -167,7 +167,6 @@ class CostModel:
         if isinstance(op, PhysTopN):
             rows = in_rows()
             dop = in_dop()
-            per_part = max(2.0, rows / dop)
             # Heap-select: one pass with a log(n)-ish heap per partition.
             return cost + rows * math.log2(max(2.0, op.n)) * p.sort_row / dop
 
@@ -253,32 +252,17 @@ class CostModel:
         Sub-plans containing no spool are priced by their precomputed
         tree cost, which keeps the walk linear in practice.
         """
-        has_spool: Dict[int, bool] = {}
+        return self._walk(plan, set())
 
-        def check(node: PhysicalPlan) -> bool:
-            cached = has_spool.get(id(node))
-            if cached is not None:
-                return cached
-            result = isinstance(node.op, PhysSpool) or any(
-                check(child) for child in node.children
-            )
-            has_spool[id(node)] = result
-            return result
+    def dag_cost_of(self, plans: Sequence[PhysicalPlan]) -> float:
+        """DAG cost of several plans executed together.
 
+        The plans are priced as one DAG — a spool reached from two of
+        them is built once — without any root operator above them: the
+        cost of a ``PhysSequence`` over ``plans`` minus its own startup.
+        """
         seen_spools: set = set()
-
-        def walk(node: PhysicalPlan) -> float:
-            if isinstance(node.op, PhysSpool):
-                if id(node) in seen_spools:
-                    return self.spool_read_cost(node)
-                seen_spools.add(id(node))
-                return node.self_cost + walk(node.children[0])
-            if not check(node):
-                return node.cost
-            return node.self_cost + sum(walk(child) for child in node.children)
-
-        check(plan)
-        return walk(plan)
+        return sum(self._walk(plan, seen_spools) for plan in plans)
 
     def referenced_cost(self, plan: PhysicalPlan, references: int) -> float:
         """Total cost of a plan consumed through ``references`` edges.
@@ -290,34 +274,40 @@ class CostModel:
         candidates (materialize vs recompute) are compared: it makes the
         sharing decision itself cost-based.
         """
-        has_spool: Dict[int, bool] = {}
-
-        def check(node: PhysicalPlan) -> bool:
-            cached = has_spool.get(id(node))
-            if cached is not None:
-                return cached
-            result = isinstance(node.op, PhysSpool) or any(
-                check(child) for child in node.children
-            )
-            has_spool[id(node)] = result
-            return result
-
         seen_spools: set = set()
-
-        def walk(node: PhysicalPlan) -> float:
-            if isinstance(node.op, PhysSpool):
-                if id(node) in seen_spools:
-                    return self.spool_read_cost(node)
-                seen_spools.add(id(node))
-                return node.self_cost + walk(node.children[0])
-            if not check(node):
-                return node.cost
-            return node.self_cost + sum(walk(child) for child in node.children)
-
-        check(plan)
         total = 0.0
         for _ in range(max(1, references)):
             # seen_spools persists across references: later walks pay
             # only re-reads for already-built spools.
-            total += walk(plan)
+            total += self._walk(plan, seen_spools)
         return total
+
+    def _walk(self, node: PhysicalPlan, seen_spools: set) -> float:
+        """DAG cost of ``node``; spools in ``seen_spools`` are re-reads."""
+        if isinstance(node.op, PhysSpool):
+            if id(node) in seen_spools:
+                return self.spool_read_cost(node)
+            seen_spools.add(id(node))
+            return node.self_cost + self._walk(node.children[0], seen_spools)
+        if not has_spool(node):
+            return node.cost
+        return node.self_cost + sum(
+            self._walk(child, seen_spools) for child in node.children
+        )
+
+
+def has_spool(node: PhysicalPlan) -> bool:
+    """Whether the sub-plan rooted at ``node`` contains a SPOOL.
+
+    Computed once per node and cached on the node itself, like the
+    engine's ``_dag_cost``: plan nodes are shared between every
+    candidate built above them, so a per-call cache would re-walk the
+    same sub-plans for every candidate priced.
+    """
+    flag = node.__dict__.get("_has_spool")
+    if flag is None:
+        flag = isinstance(node.op, PhysSpool) or any(
+            has_spool(child) for child in node.children
+        )
+        node._has_spool = flag
+    return flag

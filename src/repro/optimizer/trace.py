@@ -2,10 +2,10 @@
 
 Enabled with ``OptimizerConfig(trace=True)``; the engine then publishes
 :class:`TraceEvent` records for every group optimization, transformation
-rule firing, and phase-2 round.  The trace answers the questions that
-come up when a plan looks wrong: *which requirements was this group
-optimized under?  which enforcement rounds ran, and what did each cost?
-did the rule I added ever fire?*
+rule firing, phase-2 round and pruned LCA.  The trace answers the
+questions that come up when a plan looks wrong: *which requirements was
+this group optimized under?  which enforcement rounds ran, and what did
+each cost?  did the rule I added ever fire?*
 
 Events flow through an :class:`~repro.obs.bus.EventBus` rather than a
 private list: pass ``bus=tracer.bus`` (or rebind :attr:`OptimizerTrace.bus`
@@ -27,10 +27,12 @@ from ..obs.bus import EventBus
 class TraceEvent:
     """One trace record.
 
-    ``kind`` is one of ``"group"``, ``"rule"``, ``"round"``; the other
-    fields are populated as applicable.  ``rule_name`` is the structured
-    identity of the fired rule — use it instead of parsing ``detail``,
-    which is display text and may contain spaces.
+    ``kind`` is one of ``"group"``, ``"rule"``, ``"round"``, ``"prune"``;
+    the other fields are populated as applicable.  ``rule_name`` is the
+    structured identity of the fired rule — use it instead of parsing
+    ``detail``, which is display text and may contain spaces.  A
+    ``"prune"`` event carries the LCA's lower bound in ``cost`` and the
+    incumbent it could not beat in ``incumbent``.
     """
 
     kind: str
@@ -40,6 +42,7 @@ class TraceEvent:
     cost: Optional[float] = None
     rule_name: str = ""
     produced: int = 0
+    incumbent: Optional[float] = None
 
 
 class OptimizerTrace:
@@ -79,10 +82,22 @@ class OptimizerTrace:
             TraceEvent("round", lca_gid, phase, detail=detail, cost=cost)
         )
 
+    def lca_pruned(self, lca_gid: int, phase: int, bound: float,
+                   incumbent: float) -> None:
+        self.bus.publish(
+            TraceEvent("prune", lca_gid, phase,
+                       detail=f"bound {bound:,.0f} >= incumbent "
+                              f"{incumbent:,.0f}",
+                       cost=bound, incumbent=incumbent)
+        )
+
     # -- queries -----------------------------------------------------------
 
     def rounds(self) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == "round"]
+
+    def prunes(self) -> List[TraceEvent]:
+        return [e for e in self.events if e.kind == "prune"]
 
     def rules(self) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == "rule"]
@@ -118,6 +133,8 @@ def render_trace(trace: OptimizerTrace, max_groups: int = 40) -> str:
     for event in rounds:
         cost = f"{event.cost:,.0f}" if event.cost is not None else "infeasible"
         lines.append(f"  LCA #{event.gid}: {{{event.detail}}} -> {cost}")
+    for event in trace.prunes():
+        lines.append(f"  LCA #{event.gid}: pruned, {event.detail}")
 
     groups = trace.groups()
     lines.append(
