@@ -24,9 +24,11 @@ from ..plan.properties import (
     ReqProps,
     SortOrder,
     enforced_props_for,
+    hash_once,
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class HistoryEntry:
     """One concrete property set that can be enforced at a shared group."""

@@ -62,7 +62,9 @@ class CseOptimizationResult:
     #: Inserting SPOOL groups can block logical rewrites (a filter
     #: cannot be pushed through a shared materialization point), so the
     #: pipeline also prices the plan of an untouched memo and never
-    #: returns anything worse than it.
+    #: returns anything worse than it.  When CSE detection inserted no
+    #: spool and merged nothing, phase 1 is that plan and this is its
+    #: cost.
     fallback_cost: float = float("inf")
     #: The memo whose group ids the *chosen* plan refers to.  Usually
     #: ``memo``, but when the conventional fallback wins the chosen plan
@@ -182,15 +184,22 @@ def optimize_with_cse(
     # Final guard: SPOOL insertion can block logical rewrites (e.g.
     # pushing a filter through a now-shared projection), so the spooled
     # memo's best plan may be worse than plain conventional optimization.
-    # Price the untouched memo too and keep the cheapest overall.
-    with tracer.span("optimize.fallback") as span:
-        fallback = optimize_conventional(logical, catalog, config,
-                                         corrections=corrections)
-        span.set(cost=fallback.cost)
+    # Price the untouched memo too and keep the cheapest overall.  When
+    # detection inserted no spool and merged nothing, the untouched memo
+    # is this memo and phase 1 already was its conventional optimization.
     plan_memo = memo
-    if fallback.cost < cost:
-        plan, cost, chosen = fallback.plan, fallback.cost, 1
-        plan_memo = fallback.memo
+    with tracer.span("optimize.fallback") as span:
+        if report.spools or report.merged:
+            fallback = optimize_conventional(logical, catalog, config,
+                                             corrections=corrections)
+            fallback_cost = fallback.cost
+            span.set(cost=fallback_cost)
+            if fallback_cost < cost:
+                plan, cost, chosen = fallback.plan, fallback_cost, 1
+                plan_memo = fallback.memo
+        else:
+            fallback_cost = phase1_cost
+            span.set(cost=fallback_cost, skipped=True)
 
     result = CseOptimizationResult(
         plan=plan,
@@ -204,7 +213,7 @@ def optimize_with_cse(
         propagation=propagation,
         engine=engine,
         memo=memo,
-        fallback_cost=fallback.cost,
+        fallback_cost=fallback_cost,
         plan_memo=plan_memo,
     )
     if verify:

@@ -28,7 +28,7 @@ compares candidate plans by DAG cost (DESIGN.md, decision 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import FrozenSet, Sequence
 
 from ..plan.physical import (
     PhysBroadcastJoin,
@@ -250,9 +250,18 @@ class CostModel:
         semantics — so it is charged once per path, like in a tree.
 
         Sub-plans containing no spool are priced by their precomputed
-        tree cost, which keeps the walk linear in practice.
+        tree cost.  For the others the result is cached on the plan node
+        (an ``id()``-keyed dict would be poisoned by CPython reusing the
+        addresses of discarded candidates), and :meth:`_walk` reuses it
+        for every sub-plan none of whose spools was already priced, so
+        pricing a new candidate walks only its own node.
         """
-        return self._walk(plan, set())
+        if not spool_ids(plan):
+            return plan.cost
+        cached = plan.__dict__.get("_dag_cost")
+        if cached is None:
+            cached = plan._dag_cost = self._expand(plan, set())
+        return cached
 
     def dag_cost_of(self, plans: Sequence[PhysicalPlan]) -> float:
         """DAG cost of several plans executed together.
@@ -283,31 +292,56 @@ class CostModel:
         return total
 
     def _walk(self, node: PhysicalPlan, seen_spools: set) -> float:
-        """DAG cost of ``node``; spools in ``seen_spools`` are re-reads."""
+        """DAG cost of ``node``; spools in ``seen_spools`` are re-reads.
+
+        The walk of a node depends on ``seen_spools`` only through the
+        node's own spools, so when none of them was seen it performs
+        exactly the float operations of a fresh walk: the node's cached
+        :meth:`dag_cost` is that result, bit for bit.
+        """
+        spools = spool_ids(node)
+        if not spools:
+            return node.cost
+        if seen_spools.isdisjoint(spools):
+            seen_spools.update(spools)
+            return self.dag_cost(node)
+        return self._expand(node, seen_spools)
+
+    def _expand(self, node: PhysicalPlan, seen_spools: set) -> float:
+        """Price ``node`` itself and walk its children."""
         if isinstance(node.op, PhysSpool):
             if id(node) in seen_spools:
                 return self.spool_read_cost(node)
             seen_spools.add(id(node))
             return node.self_cost + self._walk(node.children[0], seen_spools)
-        if not has_spool(node):
-            return node.cost
         return node.self_cost + sum(
             self._walk(child, seen_spools) for child in node.children
         )
 
 
-def has_spool(node: PhysicalPlan) -> bool:
-    """Whether the sub-plan rooted at ``node`` contains a SPOOL.
+_NO_SPOOLS: FrozenSet[int] = frozenset()
 
-    Computed once per node and cached on the node itself, like the
-    engine's ``_dag_cost``: plan nodes are shared between every
+
+def spool_ids(node: PhysicalPlan) -> FrozenSet[int]:
+    """``id()`` of every SPOOL node in the sub-plan rooted at ``node``.
+
+    Computed once per node and cached on the node itself, like
+    :meth:`CostModel.dag_cost`: plan nodes are shared between every
     candidate built above them, so a per-call cache would re-walk the
-    same sub-plans for every candidate priced.
+    same sub-plans for every candidate priced.  The ids stay valid for
+    the node's lifetime, which keeps the spools alive.  A node whose
+    set equals a child's shares that child's set object.
     """
-    flag = node.__dict__.get("_has_spool")
-    if flag is None:
-        flag = isinstance(node.op, PhysSpool) or any(
-            has_spool(child) for child in node.children
-        )
-        node._has_spool = flag
-    return flag
+    ids = node.__dict__.get("_spool_ids")
+    if ids is None:
+        ids = _NO_SPOOLS
+        for child in node.children:
+            below = spool_ids(child)
+            if not ids:
+                ids = below
+            elif not below <= ids:
+                ids = ids | below
+        if isinstance(node.op, PhysSpool):
+            ids = ids | {id(node)}
+        node._spool_ids = ids
+    return ids

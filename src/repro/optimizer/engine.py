@@ -51,7 +51,7 @@ from ..plan.properties import (
 from ..scope.catalog import Catalog
 from .cardinality import CardinalityEstimator
 from .cost import CostModel, CostParams
-from .memo import Memo
+from .memo import GroupExpr, Memo
 from .rules import DEFAULT_RULES, enumerate_implementations
 from .rules.transformation import RuleEnv
 from .trace import OptimizerTrace
@@ -189,6 +189,15 @@ class SearchEngine:
         #: Span tracer for phase-2 round attribution (see
         #: :meth:`bind_observability`); the null tracer is free.
         self.tracer = NULL_TRACER
+        # Work that does not depend on the enforcement context, shared by
+        # every phase-2 round and bound combination of one ``optimize``
+        # call and emptied when it returns: implementation candidates
+        # per (expression, requirement), enforcer chains per requirement
+        # and compensated enforced plans per (plan, requirement).  Not
+        # kept on the memo, which outlives the run in the plan cache.
+        self._candidates: Dict[Tuple[GroupExpr, ReqProps], tuple] = {}
+        self._enforcer_chains: Dict[ReqProps, tuple] = {}
+        self._compensations: Dict[Tuple[int, ReqProps], tuple] = {}
 
     def bind_observability(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer` to this engine.
@@ -214,7 +223,12 @@ class SearchEngine:
     def optimize(self, phase: int = PHASE_CONVENTIONAL) -> Optional[PhysicalPlan]:
         """Optimize the memo root under no external requirements."""
         assert self.memo.root is not None
-        return self.optimize_group(self.memo.root, ANY, EMPTY_CTX, phase)
+        try:
+            return self.optimize_group(self.memo.root, ANY, EMPTY_CTX, phase)
+        finally:
+            self._candidates.clear()
+            self._enforcer_chains.clear()
+            self._compensations.clear()
 
     def refresh_cse_annotations(self, independent_sets) -> None:
         """Install the propagation results before phase 2 runs.
@@ -227,16 +241,8 @@ class SearchEngine:
         self._has_lca_below_cache.clear()
 
     def plan_cost(self, plan: PhysicalPlan) -> float:
-        """DAG-aware cost of a finished plan (see CostModel.dag_cost).
-
-        Cached on the plan object itself — an id()-keyed dict would be
-        poisoned by CPython reusing addresses of discarded candidates.
-        """
-        cached = getattr(plan, "_dag_cost", None)
-        if cached is None:
-            cached = self.cost_model.dag_cost(plan)
-            plan._dag_cost = cached
-        return cached
+        """DAG-aware cost of a finished plan (see CostModel.dag_cost)."""
+        return self.cost_model.dag_cost(plan)
 
     # ------------------------------------------------------------------
     # Algorithm 2 / 4: OptimizeGroup
@@ -473,9 +479,12 @@ class SearchEngine:
         history entries is the DAG cost of those plans together; a
         round's plan contains them, and DAG cost is monotone
         (non-negative self costs, a spool built once), so it costs at
-        least that much.  If every combination of one unit is at least
-        the incumbent, no round can win.  The enforced plans are
-        computed under the very winner keys the rounds then reuse.
+        least that much.  A combination whose first plans already cost
+        at least the incumbent is settled without the rest (see
+        :meth:`_combination_bound`).  If every combination of one unit
+        is at least the incumbent, no round can win.  The enforced
+        plans are computed under the very winner keys the rounds then
+        reuse.
 
         Only LCAs reached with no enforcement in force and below no
         shared group are bounded: there the pruned result feeds only
@@ -494,22 +503,38 @@ class SearchEngine:
             for combo in itertools.product(*(entries[g] for g in unit)):
                 ctx2 = dict(current)
                 ctx2.update(zip(unit, combo))
-                plans = []
-                for shared_gid in tops:
-                    plan = self.optimize_group(
-                        shared_gid, ctx2[shared_gid].as_req(), ctx2,
-                        PHASE_CSE,
-                    )
-                    if plan is None:
-                        break
-                    plans.append(plan)
-                else:
-                    lowest = min(lowest, self.cost_model.dag_cost_of(plans))
+                cost = self._combination_bound(tops, ctx2, incumbent)
+                if cost is not None:
+                    lowest = min(lowest, cost)
                     if lowest < incumbent:
                         break
             if lowest >= incumbent:
                 return lowest
         return None
+
+    def _combination_bound(self, tops: List[int], ctx: EnforceCtx,
+                           incumbent: float) -> Optional[float]:
+        """DAG cost of the enforced plans of ``tops`` under ``ctx``.
+
+        The plans are priced as they are added and the combination is
+        settled — the rest left unoptimized — once the partial cost
+        reaches ``incumbent``: adding a plan to a DAG adds a
+        non-negative term to the running float sum, so the full cost
+        could only be higher.  ``None`` when an enforced plan is
+        infeasible (so is every round of the combination).
+        """
+        plans: List[PhysicalPlan] = []
+        cost = 0.0
+        for shared_gid in tops:
+            plan = self.optimize_group(shared_gid, ctx[shared_gid].as_req(),
+                                       ctx, PHASE_CSE)
+            if plan is None:
+                return None
+            plans.append(plan)
+            cost = self.cost_model.dag_cost_of(plans)
+            if cost >= incumbent:
+                break
+        return cost
 
     def _bounding_groups(self, lca: int, unit: List[int]
                          ) -> Optional[List[int]]:
@@ -522,6 +547,11 @@ class SearchEngine:
         together never overcounts.  ``None`` when no group qualifies or
         the unit reaches a shared group outside itself, whose
         enforcement — set by another unit — would vary the plans.
+
+        Groups come in ascending order of the shared groups they reach:
+        inner groups are cheap to optimize, and their cost alone often
+        settles a combination before an outer group's sub-DAG is
+        optimized under it.
         """
         members = set(unit)
         if any(not self._shared_reach(g) <= members for g in unit):
@@ -532,6 +562,7 @@ class SearchEngine:
                 h for h in unit if h != g and g in self._shared_reach(h)
             ))
         ]
+        bounding.sort(key=lambda g: len(self._shared_reach(g)))
         return bounding or None
 
     def _unavoidable(self, top: int, target: int,
@@ -611,7 +642,7 @@ class SearchEngine:
         best_cost = float("inf")
 
         for expr in list(group.exprs):
-            for cand in enumerate_implementations(self.memo, expr, req):
+            for cand in self._implementations(expr, req):
                 self.stats.candidates_tried += 1
                 child_plans: List[PhysicalPlan] = []
                 feasible = True
@@ -648,12 +679,8 @@ class SearchEngine:
                     best, best_cost = node, cost
 
         schema_names = set(group.schema.names)
-        for chain, inner_req in self._enforcers(req):
-            if inner_req == req:
-                continue
-            if not all(
-                _op_columns(op) <= schema_names for op in chain
-            ):
+        for chain, inner_req, columns in self._enforcer_chains_for(req):
+            if not columns <= schema_names:
                 # The requirement names columns this group does not
                 # produce; no enforcer can conjure them.
                 continue
@@ -671,9 +698,33 @@ class SearchEngine:
 
         return best
 
+    def _implementations(self, expr: GroupExpr, req: ReqProps) -> tuple:
+        """``enumerate_implementations``, cached for the run: once the
+        memo is annotated it depends only on its arguments."""
+        key = (expr, req)
+        cands = self._candidates.get(key)
+        if cands is None:
+            cands = tuple(enumerate_implementations(self.memo, expr, req))
+            self._candidates[key] = cands
+        return cands
+
     # ------------------------------------------------------------------
     # Enforcers and compensation
     # ------------------------------------------------------------------
+
+    def _enforcer_chains_for(self, req: ReqProps) -> tuple:
+        """The useful :meth:`_enforcers` of ``req`` with the columns each
+        chain references, cached for the run."""
+        chains = self._enforcer_chains.get(req)
+        if chains is None:
+            chains = tuple(
+                (tuple(chain), inner_req,
+                 set().union(*(_op_columns(op) for op in chain)))
+                for chain, inner_req in self._enforcers(req)
+                if inner_req != req
+            )
+            self._enforcer_chains[req] = chains
+        return chains
 
     def _enforcers(self, req: ReqProps) -> Iterator[Tuple[List[PhysicalOp], ReqProps]]:
         """Enforcer alternatives: (operator chain outer-first, inner req).
@@ -722,6 +773,13 @@ class SearchEngine:
                 yield [PhysMerge()], ReqProps()
 
     def _compensate(self, plan: PhysicalPlan, creq: ReqProps) -> PhysicalPlan:
+        """``plan`` (an enforced winner) upgraded to ``creq``; built once
+        per run.  The cache entry holds ``plan``, so its ``id`` cannot be
+        reused while the entry lives."""
+        key = (id(plan), creq)
+        hit = self._compensations.get(key)
+        if hit is not None:
+            return hit[1]
         schema_names = set(plan.schema.names)
         wanted = set(creq.sort_order.columns)
         preq = creq.partitioning
@@ -729,12 +787,15 @@ class SearchEngine:
             wanted |= set(preq.hi)
         elif preq.kind is PartReqKind.RANGE_SORTED:
             wanted |= set(preq.sorted_order)
-        if not wanted <= schema_names:
+        if wanted <= schema_names:
+            node = self._compensate_checked(plan, creq)
+        else:
             # The consumer's requirement names columns the enforced
             # layout does not carry; return the plan as-is and let the
             # candidate's validator reject the combination.
-            return plan
-        return self._compensate_checked(plan, creq)
+            node = plan
+        self._compensations[key] = (plan, node)
+        return node
 
     def _compensate_checked(self, plan: PhysicalPlan,
                             creq: ReqProps) -> PhysicalPlan:

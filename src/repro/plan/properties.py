@@ -34,6 +34,35 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 
+def hash_once(cls):
+    """Cache a frozen dataclass's field hash on the instance on first use.
+
+    Winner keys and property histories hash these nested value objects
+    on every lookup; the dataclass-generated hash would re-walk them
+    (and their enums' Python-level ``__hash__``) each time.  The value
+    is the generated one, so iteration orders do not change, and it is
+    left out of pickled state: string hashes differ between processes.
+    Apply above ``@dataclass(frozen=True)``.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = field_hash(self)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 class PartitionKind(enum.Enum):
     """How a dataset is distributed across the machines of the cluster."""
 
@@ -51,6 +80,7 @@ class PartitionKind(enum.Enum):
     RANGE = "range"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Partitioning:
     """A delivered partitioning.
@@ -141,6 +171,7 @@ class PartReqKind(enum.Enum):
     RANGE_SORTED = "range-sorted"
 
 
+@hash_once
 @dataclass(frozen=True)
 class PartitioningReq:
     """A partitioning requirement.
@@ -272,6 +303,7 @@ class PartitioningReq:
         return self.kind.value
 
 
+@hash_once
 @dataclass(frozen=True)
 class SortOrder:
     """A sort order: an ordered tuple of column names (ascending).
@@ -309,6 +341,7 @@ class SortOrder:
         return "(" + ",".join(self.columns) + ")"
 
 
+@hash_once
 @dataclass(frozen=True)
 class PhysicalProps:
     """Delivered physical properties of a plan's output."""
@@ -326,6 +359,7 @@ class PhysicalProps:
         return f"part={self.partitioning} sort={self.sort_order}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class ReqProps:
     """Required physical properties handed down to a group during search.

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.api import optimize_script
 from repro.cse.pipeline import optimize_conventional, optimize_with_cse
+from repro.obs.tracer import Tracer
 from repro.optimizer.cost import CostParams
 from repro.optimizer.engine import OptimizerConfig
+from repro.optimizer.explain import explain_normalized
 from repro.plan.physical import (
     PhysExtract,
     PhysMerge,
@@ -15,6 +18,7 @@ from repro.plan.physical import (
 from repro.plan.properties import PartitionKind
 from repro.scope.compiler import compile_script
 from repro.workloads.paper_scripts import S1, S2
+from repro.workloads.starjoin import STARJOIN_QUERIES, make_starjoin_catalog
 
 
 def conventional(text, catalog, **kwargs):
@@ -215,3 +219,37 @@ class TestRuleRestriction:
         restricted = conventional(S1, abcd_catalog,
                                   rule_names=("merge-filters",))
         assert restricted.cost >= full.cost
+
+
+class TestFallbackSkip:
+    """The conventional fallback is skipped exactly when CSE detection
+    changed nothing: the memo it would optimize is then phase 1's."""
+
+    @pytest.mark.parametrize("name", sorted(STARJOIN_QUERIES))
+    def test_solo_starjoin_query_same_either_way(self, name):
+        catalog, _ = make_starjoin_catalog()
+        text = STARJOIN_QUERIES[name]
+        tracer = Tracer()
+        result = optimize_script(text, catalog, tracer=tracer)
+        details = result.details
+        span = next(s for root in tracer.roots for s in root.walk()
+                    if s.name == "optimize.fallback")
+        if details.report.spools or details.report.merged:
+            assert "skipped" not in span.attrs
+            return
+        assert span.attrs["skipped"] is True
+        # The fallback, run as the pipeline would have run it.
+        fallback = optimize_script(text, catalog, exploit_cse=False)
+        assert details.fallback_cost == fallback.cost == details.phase1_cost
+        assert result.cost == fallback.cost
+        assert explain_normalized(result.plan) == explain_normalized(
+            fallback.plan
+        )
+
+    def test_some_solo_queries_skip_it(self):
+        catalog, _ = make_starjoin_catalog()
+        skipped = [
+            name for name, text in STARJOIN_QUERIES.items()
+            if not optimize_script(text, catalog).details.report.spools
+        ]
+        assert skipped

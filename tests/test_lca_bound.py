@@ -16,7 +16,7 @@ from __future__ import annotations
 import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.api import optimize_script
 from repro.cli import main
@@ -33,6 +33,7 @@ from repro.optimizer.engine import (
 )
 from repro.optimizer.explain import explain_normalized
 from repro.optimizer.memo import GroupExpr, Memo
+from repro.plan.physical import PhysSpool
 from repro.plan.properties import ReqProps
 from repro.plan.pruning import prune_columns
 from repro.scope.statistics import catalog_from_json, catalog_to_json
@@ -47,6 +48,20 @@ CORPUS = sorted(CORPUS_DIR.glob("*.scope"))
 
 #: Phase-2 round counts of the paper scripts (Figure 7 harness).
 PAPER_ROUNDS = {"S1": 5, "S2": 5, "S3": 12, "S4": 24, "LS1": 18, "LS2": 71}
+
+#: (chosen, phase-1, phase-2, fallback) DAG costs of the paper scripts,
+#: compared with float ``==``: the run-scoped caches and the incremental
+#: DAG walk must leave every cost bit-identical.
+PAPER_COSTS = {
+    "S1": (8032320009.0, 15063520013.0, 8032320009.0, 13063520011.0),
+    "S2": (8532820171.0, 22595220179.0, 8532820171.0, 19595220176.0),
+    "S3": (16115034021.0, 16115034021.0, 16115034021.0, 26177434025.0),
+    "S4": (8056637015.0, 23123037027.0, 8056637015.0, 26142237023.0),
+    "LS1": (2968171610.2737083, 3814635247.162597, 2968171610.2737083,
+            3777771238.162597),
+    "LS2": (4237214466.006695, 7966233511.1178055, 4237214466.006695,
+            7806489472.1178055),
+}
 
 _NO_INCUMBENT = property(lambda self: None, lambda self, value: None)
 
@@ -111,10 +126,17 @@ def assert_same_choice(bounded, unbounded):
     assert bounded.cost == unbounded.cost
     assert bounded.details.chosen_phase == unbounded.details.chosen_phase
     assert bounded.details.phase1_cost == unbounded.details.phase1_cost
-    if bounded.details.engine.stats.lcas_pruned:
-        # Whatever phase 2 would have found could not win.
-        assert bounded.details.phase2_plan is None
-        assert unbounded.details.phase2_cost >= unbounded.details.phase1_cost
+    # A pruned LCA only removes plans that cannot beat phase 1: a phase-2
+    # plan that wins is found either way, and one that loses may be
+    # replaced by a plan bypassing the pruned LCA, or by none.
+    b2, u2 = bounded.details, unbounded.details
+    if u2.phase2_cost < u2.phase1_cost:
+        assert explain_normalized(b2.phase2_plan) == explain_normalized(
+            u2.phase2_plan
+        )
+        assert b2.phase2_cost == u2.phase2_cost
+    else:
+        assert b2.phase2_plan is None or b2.phase2_cost >= b2.phase1_cost
 
 
 # -- exactness --------------------------------------------------------------
@@ -140,14 +162,7 @@ def test_band_batches_unchanged(constants, star_catalog):
 
 @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "LS1"])
 def test_paper_scripts_unchanged(name):
-    if name in PAPER_SCRIPTS:
-        text, catalog = PAPER_SCRIPTS[name], make_catalog()
-    else:
-        text, catalog, _ = make_large_script(name)
-    config = OptimizerConfig(cost_params=CostParams(machines=25))
-    assert_same_choice(*both_ways(
-        lambda: optimize_script(text, catalog, config)
-    ))
+    assert_same_choice(*both_ways(lambda: paper_result(name)))
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
@@ -160,9 +175,24 @@ def test_corpus_plans_unchanged(path):
     ))
 
 
+#: LCA #4 is pruned (bound 16,684 against a phase-1 cost of 3,614.73),
+#: yet phase 2 still returns a plan through an expression bypassing it,
+#: as costly as phase 1; the conventional fallback wins both ways.
+BYPASSED_PRUNED_LCA = (
+    'R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor; '
+    'X0 = SELECT A,B,C,D AS V FROM R0; '
+    'X1 = SELECT A,Sum(V) AS V FROM X0 GROUP BY A; '
+    'X2 = SELECT X0.A AS A, X0.V AS V, X1.V AS W FROM X0, X1 '
+    'WHERE X0.A = X1.A; '
+    'X3 = SELECT A,V FROM X2 WHERE V > 0; '
+    'OUTPUT X3 TO "out0.res";'
+)
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=scope_scripts())
+@example(script=BYPASSED_PRUNED_LCA)
 def test_random_scripts_unchanged(script):
     catalog = small_catalog()
     config = OptimizerConfig(cost_params=CostParams(machines=3))
@@ -192,18 +222,26 @@ def test_fires_on_store_split(star_catalog):
     assert (stats.rounds, stats.lcas_pruned) == (0, 1)
 
 
-@pytest.mark.parametrize("name", sorted(PAPER_ROUNDS))
-def test_never_fires_on_paper_scripts(name):
+def paper_result(name):
+    """The Figure-7 harness's optimization of a paper script."""
     if name in PAPER_SCRIPTS:
         text, catalog = PAPER_SCRIPTS[name], make_catalog()
     else:
         text, catalog, _ = make_large_script(name)
-    result = optimize_script(
+    return optimize_script(
         text, catalog, OptimizerConfig(cost_params=CostParams(machines=25))
     )
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_ROUNDS))
+def test_never_fires_on_paper_scripts(name):
+    result = paper_result(name)
     stats = result.details.engine.stats
     assert stats.lcas_pruned == 0
     assert stats.rounds == PAPER_ROUNDS[name]
+    details = result.details
+    assert (result.cost, details.phase1_cost, details.phase2_cost,
+            details.fallback_cost) == PAPER_COSTS[name]
 
 
 # -- guards -----------------------------------------------------------------
@@ -295,3 +333,93 @@ def test_explain_names_the_pruned_lca(tmp_path, star_catalog, capsys):
     out = capsys.readouterr().out
     assert "phase-2 rounds: 0" in out
     assert "phase 2: pruned at LCA #" in out
+
+
+# -- run-scoped caches and incremental DAG costing ------------------------------
+
+
+def reference_dag_cost(model, plans):
+    """``CostModel.dag_cost_of`` as a plain walk: no cached cost or spool
+    set is read, so every node is priced from its children down."""
+    def has_spool(node):
+        return any(isinstance(n.op, PhysSpool) for n in node.iter_nodes())
+
+    def walk(node, seen):
+        if isinstance(node.op, PhysSpool):
+            if id(node) in seen:
+                return model.spool_read_cost(node)
+            seen.add(id(node))
+            return node.self_cost + walk(node.children[0], seen)
+        if not has_spool(node):
+            return node.cost
+        return node.self_cost + sum(walk(c, seen) for c in node.children)
+
+    seen = set()
+    return sum(walk(plan, seen) for plan in plans)
+
+
+def assert_winners_priced_exactly(result):
+    engine = result.details.engine
+    model = engine.cost_model
+    winners = [
+        plan
+        for group in engine.memo.groups
+        for plan in group.winners.values()
+        if plan is not None
+    ]
+    assert winners
+    for plan in winners:
+        assert model.dag_cost(plan) == reference_dag_cost(model, [plan])
+    # All winners as one DAG: walks that meet already-built spools.
+    assert model.dag_cost_of(winners) == reference_dag_cost(model, winners)
+    # Nothing context-free outlives the run that computed it.
+    assert not engine._candidates
+    assert not engine._enforcer_chains
+    assert not engine._compensations
+    return winners
+
+
+def assert_spools_won(winners):
+    """Sharing was chosen, so the walks above met already-built spools."""
+    assert any(plan.find_all(PhysSpool) for plan in winners)
+
+
+def test_star_batch_winners_priced_exactly(star_catalog):
+    assert_spools_won(assert_winners_priced_exactly(
+        batch_result(star_catalog, STAR_BATCH)
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_ROUNDS))
+def test_paper_winners_priced_exactly(name):
+    assert_spools_won(assert_winners_priced_exactly(paper_result(name)))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_corpus_winners_priced_exactly(path):
+    catalog = catalog_from_json((CORPUS_DIR / "catalog.json").read_text())
+    config = OptimizerConfig(cost_params=CostParams(machines=4))
+    assert_winners_priced_exactly(
+        optimize_script(path.read_text(), catalog, config)
+    )
+
+
+def test_bound_settles_combinations_before_the_outer_group(star_catalog):
+    """On the cold-batch shape the enforced ``store_sales`` spool alone
+    costs more than the phase-1 plan under some layouts, so those
+    combinations never optimize the ``band_sales`` spool above it."""
+    details = batch_result(star_catalog, band_batch(6, 2, 2023, 8)).details
+    engine = details.engine
+    assert engine.stats.lcas_pruned == 1
+    shared = sorted(details.propagation.lca, key=lambda g: len(
+        engine._shared_reach(g)))
+    outer = shared[-1]
+    assert engine._shared_reach(outer) == frozenset(shared)
+    combinations = 1
+    for gid in shared:
+        combinations *= len(engine._entries_for(gid))
+    assert combinations == 40
+    contexts = {
+        key[1] for key in engine.memo.group(outer).winners if key[1]
+    }
+    assert 0 < len(contexts) < combinations

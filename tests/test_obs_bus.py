@@ -74,18 +74,27 @@ def test_publish_from_inside_a_subscriber():
 
 def test_of_kind_snapshot_is_stable_under_concurrent_publish():
     bus = EventBus()
-    stop = threading.Event()
+    total = 20_000
+    first = threading.Event()
 
     def hammer():
-        while not stop.is_set():
+        # A fixed count keeps memory bounded however slowly the scans run.
+        for i in range(total):
             bus.publish(ObsEvent.make("noise"))
+            if i == 0:
+                first.set()
 
     thread = threading.Thread(target=hammer)
     thread.start()
     try:
+        # Scan only once publishing has begun, so scans overlap it.
+        assert first.wait(timeout=30)
+        seen = 0
         for _ in range(200):
             events = bus.of_kind("noise")
             assert all(e.kind == "noise" for e in events)
+            assert seen <= len(events) <= total
+            seen = len(events)
     finally:
-        stop.set()
         thread.join()
+    assert len(bus.of_kind("noise")) == total
