@@ -4,8 +4,11 @@ Includes the Figure 1(b) scenario: both repartitioning on ``{A,B,C}``
 and on ``{B}`` satisfy a grouping requirement on ``{A,B,C}``.
 """
 
+import pickle
+
 import pytest
 
+from repro.cse.history import HistoryEntry
 from repro.plan.properties import (
     Partitioning,
     PartitioningReq,
@@ -157,3 +160,25 @@ class TestSubsets:
     def test_subsets_size_cap(self):
         subsets = set(subsets_nonempty(["A", "B", "C"], max_size=1))
         assert subsets == {frozenset({"A"}), frozenset({"B"}), frozenset({"C"})}
+
+
+class TestCachedHash:
+    def test_cached_hash_is_the_field_hash(self):
+        req = ReqProps(PartitioningReq.exact(["A", "B"]), SortOrder.of("A"))
+        assert hash(req) == hash((req.partitioning, req.sort_order))
+        assert hash(req) == hash(req)  # second call reads the cache
+        entry = HistoryEntry(Partitioning.hashed(["B"]))
+        assert hash(entry) == hash((entry.partitioning, entry.sort_order))
+
+    def test_cached_hash_stays_out_of_pickles(self):
+        # String hashes differ between processes, so a pickled hash
+        # would be wrong wherever the value is loaded.
+        req = ReqProps(PartitioningReq.exact(["A"]), SortOrder.of("A"))
+        entry = HistoryEntry(Partitioning.hashed(["A"]))
+        for value in (req, req.partitioning, req.sort_order, entry):
+            hash(value)
+            assert "_hash" in value.__dict__
+            assert "_hash" not in value.__getstate__()
+            loaded = pickle.loads(pickle.dumps(value))
+            assert "_hash" not in loaded.__dict__
+            assert loaded == value and hash(loaded) == hash(value)
